@@ -21,10 +21,24 @@ Loop structure (paper line numbers in comments):
 * at termination, report a real deadlock if threads remain (lines 30-32)
 
 Two engineering details from Section 4 are included: the livelock watchdog
-(a postponed thread is released after ``patience`` global steps, standing
-in for the paper's monitor thread) and sync-only preemption (threads run
-without interruption between synchronization operations and target
-statements, keeping the instrumentation-free fast path fast).
+and sync-only preemption (threads run without interruption between
+synchronization operations and target statements, keeping the
+instrumentation-free fast path fast).
+
+The watchdog stands in for the paper's monitor thread, which notices that
+nothing can progress without a postponed thread.  It releases on evidence
+first: while the postponed set is non-empty the driver keeps a *progress
+epoch*, advanced by every WRITE, SPAWN, NOTIFY, NOTIFY_ALL and INTERRUPT it
+executes, by every race resolution, and by any change in the number of
+live or postponed threads.  A thread is *spinning* when it reaches the same
+YIELD statement twice in one epoch with at least one shared READ in
+between (a polling loop over state nobody is changing).  When every live
+non-postponed thread is spinning or blocked with no deadline (not sleeping,
+not in a timed wait, and, if pending on a lock, behind a postponed owner),
+and some spinner is enabled, the oldest postponed thread(s) are released
+with the usual one-shot exemption.  SLEEP is no spin point, so
+sleep-polling still ends in the lines 26-28 release.  ``patience`` global
+steps remain the backstop for livelocks the evidence cannot see.
 """
 
 from __future__ import annotations
@@ -39,8 +53,21 @@ from repro.obs.timeline import maybe_timeline
 from repro.runtime.errors import ExecutionLimitExceeded
 from repro.runtime.interpreter import Execution, ExecutionResult
 from repro.runtime.observer import ExecutionObserver
+from repro.runtime.ops import Op, OpKind
 from repro.runtime.program import Program
 from repro.runtime.statement import StatementPair
+from repro.runtime.thread import ThreadState, ThreadStatus
+
+#: Executed op kinds that can let another thread progress: they advance the
+#: spin evidence's progress epoch.
+_PROGRESS_KINDS = frozenset(
+    {OpKind.WRITE, OpKind.SPAWN, OpKind.NOTIFY, OpKind.NOTIFY_ALL, OpKind.INTERRUPT}
+)
+_READ = OpKind.READ
+_YIELD = OpKind.YIELD
+_RUNNABLE = ThreadStatus.RUNNABLE
+_WAITING = ThreadStatus.WAITING
+_SLEEPING = ThreadStatus.SLEEPING
 
 
 @dataclass(frozen=True)
@@ -67,6 +94,9 @@ class FuzzResult:
     forced_releases: int = 0
     #: how many times the livelock watchdog released a thread.
     watchdog_releases: int = 0
+    #: the subset of ``watchdog_releases`` made on spin evidence rather than
+    #: after ``patience`` steps.
+    spin_releases: int = 0
     #: how many times a thread entered the postponed set (lines 14 and 21).
     postpones: int = 0
     #: how many line-11 coin flips resolved a created racing situation.
@@ -180,6 +210,7 @@ class PostponingDriver:
         # statements" (the paper's Case 1 narrative) instead of being
         # re-postponed at the same statement forever.
         exempt: set[int] = set()
+        spin = _SpinEvidence()  # per trial: fuzzers are reused across trials
         rng = execution.rng
 
         try:
@@ -187,12 +218,18 @@ class PostponingDriver:
                 enabled = execution.schedulable()
                 if not enabled:
                     break
-                self._run_watchdog(execution, postponed, exempt, fuzz)
-                enabled_set = set(enabled)
-                for tid in list(postponed):
-                    if tid not in enabled_set:  # died or became blocked: drop it
-                        del postponed[tid]
-                choosable = [tid for tid in enabled if tid not in postponed]
+                if postponed:
+                    self._run_watchdog(execution, postponed, exempt, fuzz)
+                    enabled_set = set(enabled)
+                    for tid in list(postponed):
+                        if tid not in enabled_set:  # died or became blocked
+                            del postponed[tid]
+                    if postponed and spin.stalled(execution, postponed):
+                        self._release_oldest(postponed, exempt, fuzz)
+                        continue
+                    choosable = [tid for tid in enabled if tid not in postponed]
+                else:
+                    choosable = enabled
                 if not choosable:
                     # Lines 26-28: everyone is postponed; release one at random.
                     victim = sorted(postponed)[rng.randrange(len(postponed))]
@@ -205,6 +242,7 @@ class PostponingDriver:
                     rivals = self.conflicting(execution, tid, sorted(postponed))
                     if rivals:
                         self._resolve(execution, tid, rivals, postponed, fuzz)
+                        spin.epoch += 1
                     else:
                         postponed[tid] = execution.step_count  # line 21
                         fuzz.postpones += 1
@@ -212,7 +250,9 @@ class PostponingDriver:
                             fuzz.postponed_high_water = len(postponed)
                 else:
                     exempt.discard(tid)
-                    self._execute_run(execution, tid, postponed, exempt, fuzz)
+                    self._execute_run(
+                        execution, tid, postponed, exempt, fuzz, spin
+                    )
         except ExecutionLimitExceeded:
             # The budget check in `schedulable()` catches most exhaustion,
             # but race resolution (lines 12/15-18) steps threads directly
@@ -231,6 +271,7 @@ class PostponingDriver:
             m.inc("fuzz.coin_flips", fuzz.coin_flips)
             m.inc("fuzz.forced_releases", fuzz.forced_releases)
             m.inc("fuzz.watchdog_releases", fuzz.watchdog_releases)
+            m.inc("fuzz.spin_releases", fuzz.spin_releases)
             m.gauge_max("fuzz.postponed_high_water", fuzz.postponed_high_water)
             m.observe(
                 "fuzz.trial_wall_s", execution.result.wall_time,
@@ -299,19 +340,22 @@ class PostponingDriver:
         postponed: dict[int, int],
         exempt: set[int],
         fuzz: FuzzResult,
+        spin: _SpinEvidence,
     ) -> None:
         """Line 24, plus the sync-only preemption burst from Section 4."""
+        # The burst loop runs once per step of every trial, observed or
+        # not, so it fetches the thread state once instead of going
+        # through is_enabled/next_op (a fetch each) per iteration.
+        ts = execution.threads[tid]
+        op = ts.pending
         execution.step(tid)
+        if postponed:
+            spin.observe(execution, ts, op)
         if self.preemption != "sync":
             return
-        # The burst loop runs once per step of every trial, observed or
-        # not, so it fetches the thread state once per iteration instead
-        # of going through is_enabled/next_op (a fetch each).
-        threads = execution.threads
         max_steps = self.max_steps
         while execution.ops_executed < max_steps:
-            ts = threads.get(tid)
-            if ts is None or not execution._enabled(ts):
+            if not execution._enabled(ts):
                 return
             op = ts.pending
             if op is None or op.is_sync:
@@ -319,10 +363,12 @@ class PostponingDriver:
             if self.is_target(execution, tid):
                 return
             execution.step(tid)
-            if postponed and (execution.step_count & 0x3F) == 0:
-                # Long uninterrupted bursts must not starve the watchdog
-                # (the paper's monitor thread runs concurrently; we poll).
-                self._run_watchdog(execution, postponed, exempt, fuzz)
+            if postponed:
+                spin.observe(execution, ts, op)
+                if (execution.step_count & 0x3F) == 0:
+                    # Long uninterrupted bursts must not starve the watchdog
+                    # (the paper's monitor thread runs concurrently; we poll).
+                    self._run_watchdog(execution, postponed, exempt, fuzz)
 
     def _run_watchdog(
         self,
@@ -331,10 +377,93 @@ class PostponingDriver:
         exempt: set[int],
         fuzz: FuzzResult,
     ) -> None:
-        """Section 4's livelock breaker: free threads postponed too long."""
+        """Section 4's livelock backstop: free threads postponed too long."""
         now = execution.step_count
         for tid, since in list(postponed.items()):
             if now - since > self.patience:
                 del postponed[tid]
                 exempt.add(tid)
                 fuzz.watchdog_releases += 1
+
+    @staticmethod
+    def _release_oldest(
+        postponed: dict[int, int], exempt: set[int], fuzz: FuzzResult
+    ) -> None:
+        """Spin-evidence release: free the longest-postponed thread(s)."""
+        oldest = min(postponed.values())
+        for tid in [tid for tid, since in postponed.items() if since == oldest]:
+            del postponed[tid]
+            exempt.add(tid)
+            fuzz.watchdog_releases += 1
+            fuzz.spin_releases += 1
+
+
+class _SpinEvidence:
+    """Progress evidence for one trial, kept while threads are postponed."""
+
+    __slots__ = ("epoch", "counts", "reads", "arrivals", "spinning", "spun")
+
+    def __init__(self) -> None:
+        self.epoch = 0
+        #: (live threads, postponed threads) at the last stall check.
+        self.counts = (0, 0)
+        #: tid -> shared READs it executed while the evidence was kept.
+        self.reads: dict[int, int] = {}
+        #: (tid, YIELD statement) -> (epoch, reads) at its last arrival there.
+        self.arrivals: dict[tuple, tuple[int, int]] = {}
+        #: tid -> the epoch in which its last YIELD arrival proved a spin.
+        self.spinning: dict[int, int] = {}
+        #: the last epoch in which any thread proved a spin.
+        self.spun = -1
+
+    def observe(self, execution: Execution, ts: ThreadState, op: Op) -> None:
+        """Account one step of ``ts``, whose pending op was ``op``."""
+        kind = op.kind
+        tid = ts.tid
+        if kind in _PROGRESS_KINDS:
+            self.epoch += 1
+        elif kind is _READ:
+            self.reads[tid] = self.reads.get(tid, 0) + 1
+        pending = ts.pending
+        if pending is None or pending.kind is not _YIELD:
+            return
+        key = (tid, execution.next_stmt(tid))
+        mark = (self.epoch, self.reads.get(tid, 0))
+        last = self.arrivals.get(key)
+        if last is not None and last[0] == mark[0] and last[1] < mark[1]:
+            self.spinning[tid] = self.spun = self.epoch
+        else:
+            self.spinning.pop(tid, None)
+        self.arrivals[key] = mark
+
+    def stalled(self, execution: Execution, postponed: dict[int, int]) -> bool:
+        """Can no live non-postponed thread progress without a postponed one?"""
+        counts = (len(execution._live), len(postponed))
+        if counts != self.counts:
+            # A thread ended, started or changed sets: a new epoch, in which
+            # nobody has proved a spin yet.
+            self.counts = counts
+            self.epoch += 1
+            return False
+        epoch = self.epoch
+        if self.spun != epoch:
+            return False  # the common case: no spinner in this epoch
+        spinning = self.spinning
+        enabled = execution._enabled
+        spinner_enabled = False
+        for ts in execution._live:
+            tid = ts.tid
+            if tid in postponed:
+                continue
+            status = ts.status
+            if status is _SLEEPING or (status is _WAITING and ts.wake_at):
+                return False  # time alone will let it progress
+            if spinning.get(tid) == epoch:
+                spinner_enabled = spinner_enabled or enabled(ts)
+            elif enabled(ts):
+                return False
+            elif status is _RUNNABLE and ts.pending.blocking == 1:
+                owner = execution.locks.monitor(ts.pending.lock).owner
+                if owner not in postponed:
+                    return False  # its lock can still be released
+        return spinner_enabled

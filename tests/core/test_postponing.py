@@ -71,33 +71,163 @@ class TestForcedRelease:
         assert created >= 8  # nearly every run should still create the race
 
 
+SET_FLAG = StatementPair(Statement(label="set-flag"), Statement(label="other"))
+
+
+def flag_program(waiter):
+    """A setter whose write of ``flag`` is the postponed target statement,
+    and a ``waiter(flag)`` thread that waits for it."""
+
+    def factory():
+        flag = SharedVar("flag", 0)
+
+        def setter():
+            yield flag.write(1, label="set-flag")
+
+        def main():
+            handles = yield from spawn_all([setter, lambda: waiter(flag)])
+            yield from join_all(handles)
+
+        return main()
+
+    return Program(factory)
+
+
+def yield_spinner(flag):
+    while (yield flag.read()) == 0:
+        yield ops.yield_point()
+
+
 class TestWatchdog:
     def test_watchdog_frees_thread_blocked_behind_spin_loop(self):
         """The moldyn livelock pattern: one thread spins on a flag that only
         the postponed thread can set.  The watchdog must unwedge it."""
+        fuzzer = RaceFuzzer(SET_FLAG, patience=100, max_steps=50_000)
+        outcome = fuzzer.run(flag_program(yield_spinner), seed=0)
+        assert not outcome.result.truncated
+        assert not outcome.result.deadlock
+        assert outcome.watchdog_releases >= 1
+
+    def test_spin_evidence_releases_long_before_patience(self):
+        """A read-then-yield poll is spin evidence: the setter is released
+        as soon as the spin is seen, not after ``patience=400`` steps."""
+        for seed in range(5):
+            outcome = RaceFuzzer(SET_FLAG).run(flag_program(yield_spinner), seed=seed)
+            assert not outcome.result.truncated
+            assert outcome.result.steps < 100
+            assert outcome.spin_releases >= 1
+            assert outcome.spin_releases <= outcome.watchdog_releases
+
+    def test_yield_padding_without_reads_is_not_a_spin(self):
+        """A straight run of YIELDs reads nothing: it is progress toward
+        the end of the loop, so the setter waits until the padder is done
+        and lines 26-28 release it."""
+
+        def padder(flag):
+            for _ in range(60):
+                yield ops.yield_point()
+
+        for seed in range(5):
+            outcome = RaceFuzzer(SET_FLAG).run(flag_program(padder), seed=seed)
+            assert outcome.spin_releases == 0
+            assert outcome.watchdog_releases == 0
+            assert outcome.forced_releases >= 1
+            assert outcome.result.steps > 60
+
+    def test_looping_writer_is_progress_not_a_spin(self):
+        """A read-write-yield loop looks like a poll but writes: every write
+        opens a new progress epoch, so the postponed thread waits for the
+        partner the writer eventually lets through, and the race is made."""
 
         def factory():
-            flag = SharedVar("flag", 0)
+            count, target = SharedVar("count", 0), SharedVar("target", 0)
 
-            def setter():
-                yield flag.write(1, label="set-flag")
+            def early():
+                yield target.write(1, label="early")
 
-            def spinner():
-                while (yield flag.read()) == 0:
+            def counter():
+                for _ in range(10):
+                    value = yield count.read()
+                    yield count.write(value + 1)
                     yield ops.yield_point()
 
+            def late():
+                while (yield count.read()) < 10:
+                    yield ops.yield_point()
+                yield target.write(2, label="late")
+
             def main():
-                handles = yield from spawn_all([setter, spinner])
+                handles = yield from spawn_all([early, counter, late])
                 yield from join_all(handles)
 
             return main()
 
-        pair = StatementPair(Statement(label="set-flag"), Statement(label="other"))
-        fuzzer = RaceFuzzer(pair, patience=100, max_steps=50_000)
-        outcome = fuzzer.run(Program(factory), seed=0)
-        assert not outcome.result.truncated
-        assert not outcome.result.deadlock
-        assert outcome.watchdog_releases >= 1
+        pair = StatementPair(Statement(label="early"), Statement(label="late"))
+        for seed in range(5):
+            outcome = RaceFuzzer(pair).run(Program(factory), seed=seed)
+            assert outcome.created
+            assert outcome.spin_releases == 0
+
+    def test_sleep_polling_takes_the_forced_release(self):
+        """SLEEP is no spin point: a sleeping poller leaves only postponed
+        threads enabled, which is the lines 26-28 forced release."""
+
+        def sleep_poller(flag):
+            while (yield flag.read()) == 0:
+                yield ops.sleep(3)
+
+        for seed in range(5):
+            outcome = RaceFuzzer(SET_FLAG).run(flag_program(sleep_poller), seed=seed)
+            assert not outcome.result.truncated
+            assert outcome.forced_releases >= 1
+            assert outcome.spin_releases == 0
+
+    def test_thread_blocked_on_a_spinners_lock_prevents_release(self):
+        """A thread blocked on a lock the spinner holds could run once the
+        spinner lets go, so it is no evidence: only the backstop fires."""
+
+        def locked_spinner(flag):
+            guard = Lock("guard")
+
+            def contender():
+                yield guard.acquire()
+                yield guard.release()
+
+            yield guard.acquire()
+            handle = yield ops.spawn(contender)
+            yield from yield_spinner(flag)
+            yield guard.release()
+            yield ops.join(handle)
+
+        for seed in range(5):
+            outcome = RaceFuzzer(SET_FLAG, patience=100).run(
+                flag_program(locked_spinner), seed=seed
+            )
+            assert not outcome.result.truncated
+            assert outcome.spin_releases == 0
+            assert outcome.watchdog_releases >= 1
+
+    def test_livelock_without_a_yield_ends_through_patience(self):
+        """A poll with no YIELD in it shows no spin evidence; ``patience``
+        is the backstop that still ends it."""
+
+        def lock_poller(flag):
+            guard = Lock("guard")
+            while True:
+                yield guard.acquire()
+                value = yield flag.read()
+                yield guard.release()
+                if value:
+                    return
+
+        for seed in range(5):
+            outcome = RaceFuzzer(SET_FLAG, patience=100).run(
+                flag_program(lock_poller), seed=seed
+            )
+            assert not outcome.result.truncated
+            assert outcome.spin_releases == 0
+            assert outcome.watchdog_releases >= 1
+            assert outcome.result.steps > 100
 
 
 class TestResolution:
