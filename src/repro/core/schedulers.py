@@ -41,41 +41,16 @@ class RandomScheduler(Scheduler):
         if preemption not in ("every", "sync"):
             raise ValueError(f"unknown preemption mode: {preemption!r}")
         self.preemption = preemption
+        self._sync = preemption == "sync"
         self._last: int | None = None
 
     def choose(self, execution: Execution, enabled: list[int]) -> int:
-        if (
-            self.preemption == "sync"
-            and self._last is not None
-            and self._last in enabled
-        ):
-            op = execution.next_op(self._last)
-            if op is not None and not op.is_sync:
-                return self._last
-        self._last = enabled[execution.rng.randrange(len(enabled))]
-        return self._last
-
-    def continuation(self, execution: Execution) -> int | None:
-        """Fast-path hook for :meth:`Execution.run` (see its docstring).
-
-        Draw-equivalent to :meth:`choose`: it returns the previous thread
-        exactly when ``choose`` would have returned it *without touching
-        the rng* (sync mode, still enabled, next op not a sync op), and
-        ``None`` otherwise — in which case ``run`` falls back to the full
-        enabled-list path and ``choose`` draws as before.  Schedules are
-        therefore byte-identical; only the enabled-list construction is
-        skipped on uncontended runs of thread-local ops.
-        """
-        if self.preemption != "sync":
-            return None
         last = self._last
-        if last is None:
-            return None
-        ts = execution.threads[last]
-        op = ts.pending
-        if op is not None and not op.is_sync and execution._enabled(ts):
-            return last
-        return None
+        if self._sync and last is not None and last in enabled:
+            if not execution.threads[last].pending.is_sync:
+                return last
+        self._last = last = enabled[execution.rng.randrange(len(enabled))]
+        return last
 
 
 class DefaultScheduler(Scheduler):
@@ -89,6 +64,12 @@ class DefaultScheduler(Scheduler):
     seeded RNG, so runs stay replayable): a perfectly periodic scheduler
     would make every seed produce the same schedule, which is not how the
     paper's "default scheduler" baseline behaves.
+
+    Handed the same list object as on its previous call (the execution's
+    cached enabled list, unchanged since), ``choose`` only spends one step
+    of the current slice: after any full call every tid of that list is
+    already current or queued, so the full path would return ``_current``
+    too, with no draw.
     """
 
     def __init__(self, quantum: int = 50) -> None:
@@ -99,6 +80,8 @@ class DefaultScheduler(Scheduler):
         self._current: int | None = None
         self._slice_used = 0
         self._slice_limit = quantum
+        #: the enabled list of the last full call, compared by identity.
+        self._seen: list[int] | None = None
 
     def _new_slice(self, execution: Execution) -> None:
         low = max(1, self.quantum // 2)
@@ -106,6 +89,10 @@ class DefaultScheduler(Scheduler):
         self._slice_used = 1
 
     def choose(self, execution: Execution, enabled: list[int]) -> int:
+        if enabled is self._seen and self._slice_used < self._slice_limit:
+            self._slice_used += 1
+            return self._current
+        self._seen = enabled
         enabled_set = set(enabled)
         for tid in enabled:
             if tid != self._current and tid not in self._queue:

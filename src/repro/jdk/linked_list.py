@@ -86,8 +86,8 @@ class LinkedList(AbstractCollection):
         self._mod_count = SharedVar(f"{name}.modCount", 0)
         self._node_counter = 0
         # The empty ring points at itself; defaults express the initial state.
-        self._header.defaults["next"] = self._header
-        self._header.defaults["prev"] = self._header
+        self._header.set_default("next", self._header)
+        self._header.set_default("prev", self._header)
 
     # --- structural ops --------------------------------------------------- #
 

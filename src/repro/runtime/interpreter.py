@@ -44,11 +44,23 @@ is kept to integer/identity operations:
   racing statements); lock/thread/msg events flow unchanged.
 * **Int-indexed metrics** — per-kind tallies live in a plain list indexed
   by ``kind_index`` and fold into the registry once, at ``finish()``.
+* **Incremental enabled set** — ``schedulable()`` returns its last list
+  again until a step may have changed it (an op kind flagged
+  ``reschedules``, a wake step, a thread that ended, or a blocked next op
+  of the stepped thread) or the clock reaches ``_valid_until``,
+  the earliest deadline of a disabled sleeper or timed waiter.
+* **Cheap step guard** — ``step()`` evaluates ``_enabled`` only for a
+  thread that is not RUNNABLE or whose pending op can block; any other
+  RUNNABLE thread is enabled by definition.
+* **Interned locations and ops** — the sugar layer hands out one location
+  object per index or field and one prebuilt op per unlabelled read, lock
+  and unlock, so heap lookups hit on identity with a cached hash.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from types import GeneratorType
@@ -98,6 +110,9 @@ _TERMINATED = ThreadStatus.TERMINATED
 
 #: index of the synthetic "wake" tally slot (after the real op kinds).
 _WAKE_SLOT = len(KIND_VALUES)
+
+#: ``_valid_until`` when no disabled thread waits on a deadline.
+_NO_DEADLINE = sys.maxsize
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,6 +191,11 @@ class Execution:
         #: threads are only ever appended, so list order == tid order; dead
         #: threads are removed so enabled scans touch only live ones).
         self._live: list[ThreadState] = []
+        #: the enabled tids last built by schedulable(), or None once a step
+        #: may have changed them; valid while step_count < _valid_until,
+        #: the earliest deadline of a disabled sleeper or timed waiter.
+        self._enabled_list: list[int] | None = None
+        self._valid_until = _NO_DEADLINE
         #: the abstract clock: advances by 1 per executed op and jumps
         #: forward when only sleepers remain.
         self.step_count = 0
@@ -272,27 +292,12 @@ class Execution:
         return self.result
 
     def run(self, scheduler) -> ExecutionResult:
-        """Convenience loop: let ``scheduler`` pick among enabled threads.
-
-        Schedulers may expose an optional ``continuation(execution)`` hook
-        returning the tid to step next without consulting the full enabled
-        list, or ``None`` to fall back to ``choose``.  The hook must be
-        draw-equivalent to ``choose`` (same rng consumption), so schedules
-        are byte-identical with or without it; it exists purely to skip
-        building the enabled list on uncontended runs-of-steps.
-        """
+        """Convenience loop: let ``scheduler`` pick among enabled threads."""
         self.start()
-        continuation = getattr(scheduler, "continuation", None)
         choose = scheduler.choose
         schedulable = self.schedulable
         step = self.step
-        max_steps = self.max_steps
         while True:
-            if continuation is not None and self.ops_executed < max_steps:
-                tid = continuation(self)
-                if tid is not None:
-                    step(tid)
-                    continue
             enabled = schedulable()
             if not enabled:
                 break
@@ -329,35 +334,48 @@ class Execution:
         return self._enabled(self.threads[tid])
 
     def enabled_tids(self) -> list[int]:
-        """All currently enabled thread ids, in tid order."""
-        enabled = self._enabled
-        return [ts.tid for ts in self._live if enabled(ts)]
+        """All currently enabled thread ids, in tid order (a fresh scan)."""
+        return self._scan_enabled()[0]
 
     def schedulable(self) -> list[int]:
         """Enabled tids, fast-forwarding the clock past an all-sleeping lull.
 
         Returns ``[]`` when the execution is over (all dead or deadlocked)
         or the step budget is exhausted (``result.truncated`` is set).
+
+        The list is cached and returned again, as the same object, until a
+        step may have changed it (see :meth:`step`) or the clock reaches a
+        disabled thread's deadline.  It is shared: callers must not mutate
+        it.
         """
-        enabled = self.enabled_tids()
-        if not enabled:
-            deadlines = [
-                ts.wake_at
-                for ts in self._live
-                if (
-                    ts.status is _SLEEPING
-                    or (ts.status is _WAITING and ts.wake_at)
-                )
-            ]
-            if deadlines:
+        enabled = self._enabled_list
+        if enabled is None or self.step_count >= self._valid_until:
+            enabled, horizon = self._scan_enabled()
+            if not enabled and horizon != _NO_DEADLINE:
                 # Nothing runnable but time can pass: jump to the earliest
                 # sleeper wakeup or timed-wait deadline.
-                self.step_count = max(self.step_count, min(deadlines))
-                enabled = self.enabled_tids()
+                self.step_count = max(self.step_count, horizon)
+                enabled, horizon = self._scan_enabled()
+            self._enabled_list = enabled
+            self._valid_until = horizon
         if enabled and self.ops_executed >= self.max_steps:
             self.result.truncated = True
             return []
         return enabled
+
+    def _scan_enabled(self) -> tuple[list[int], int]:
+        """Enabled tids, and the earliest deadline among the disabled
+        sleepers and timed waiters (the clock tick that can enable one)."""
+        is_enabled = self._enabled
+        enabled = []
+        horizon = _NO_DEADLINE
+        for ts in self._live:
+            if is_enabled(ts):
+                enabled.append(ts.tid)
+            elif ts.status is not _RUNNABLE and 0 < ts.wake_at < horizon:
+                # SLEEPING, or WAITING with a timeout (untimed: wake_at 0).
+                horizon = ts.wake_at
+        return enabled, horizon
 
     def alive_tids(self) -> list[int]:
         """Threads not yet terminated — the paper's ``Alive(s)``."""
@@ -380,11 +398,22 @@ class Execution:
     # stepping
 
     def step(self, tid: int) -> None:
-        """Execute the pending op of ``tid`` — the paper's ``Execute(s, t)``."""
+        """Execute the pending op of ``tid`` — the paper's ``Execute(s, t)``.
+
+        Drops the cached enabled list when the step can have changed it:
+        a wake step, an op kind that ``reschedules`` (SPAWN, which creates
+        threads, among them), a thread that terminates, or a next op of
+        ``tid`` that is blocked.
+        """
         ts = self.threads.get(tid)
         if ts is None:
             raise SchedulerMisuse(f"unknown thread {tid}")
-        if not self._enabled(ts):
+        status = ts.status
+        op = ts.pending
+        # A RUNNABLE thread whose pending op never blocks is enabled.
+        if (
+            status is not _RUNNABLE or op is None or op.blocking
+        ) and not self._enabled(ts):
             raise SchedulerMisuse(f"thread {ts} is not enabled")
         if self.ops_executed >= self.max_steps:
             raise ExecutionLimitExceeded(
@@ -397,14 +426,22 @@ class Execution:
             if self._m_last_tid >= 0:
                 self._m_switches += 1
             self._m_last_tid = tid
-        status = ts.status
         if status is _RUNNABLE:
-            op = ts.pending
             index = op.kind_index
             if counts is not None:
                 counts[index] += 1
+            if op.reschedules:
+                self._enabled_list = None
             self._dispatch[index](ts, op)
-        elif status is _SLEEPING:
+            if self._enabled_list is not None:
+                # Still cached, so ts neither ended nor parked: it stays
+                # enabled unless its next op is blocked.
+                op = ts.pending
+                if op.blocking and not self._enabled(ts):
+                    self._enabled_list = None
+            return
+        self._enabled_list = None
+        if status is _SLEEPING:
             # Wakeups execute no user op; they are tallied under the
             # synthetic "wake" kind here, where the wake actually happens
             # (a pending SLEEP/WAIT op must not be double-counted).
@@ -741,6 +778,7 @@ class Execution:
         ts.pending_stmt = stmt
         ts.stmt_code = None
         self._live.remove(ts)
+        self._enabled_list = None
         # Events and crash records carry the picklable ErrorInfo form; the
         # live exception stays on ThreadState for in-process consumers.
         info = ErrorInfo.from_exception(error) if error is not None else None

@@ -53,6 +53,11 @@ class OpKind(enum.Enum):
     #   block    how enabledness is decided for a pending op of this kind:
     #            0 = always enabled, 1 = needs the lock free/reentrant,
     #            2 = needs the join target dead.
+    #   reschedules
+    #            executing an op of this kind can change enabledness beyond
+    #            the stepping thread's next op (lock state, wait sets, sleep
+    #            deadlines, new threads), so it invalidates the
+    #            interpreter's cached enabled list.
 
 
 #: Kinds that access shared memory (candidates for racing pairs).
@@ -76,6 +81,23 @@ SYNC_KINDS = frozenset(
     }
 )
 
+#: Kinds whose execution can enable or disable threads other than through
+#: the stepping thread's next op.  JOIN, READ, WRITE and the rest change
+#: enabledness only through that next op.
+RESCHEDULING_KINDS = frozenset(
+    {
+        OpKind.LOCK,
+        OpKind.UNLOCK,
+        OpKind.WAIT,
+        OpKind.NOTIFY,
+        OpKind.NOTIFY_ALL,
+        OpKind.SPAWN,
+        OpKind.SLEEP,
+        OpKind.INTERRUPT,
+        OpKind.REACQUIRE,
+    }
+)
+
 
 #: ``OpKind`` members in declaration order; ``KIND_VALUES[k.index]`` is
 #: ``k.value`` (used when folding int-indexed tallies back into metrics).
@@ -92,7 +114,11 @@ for _index, _kind in enumerate(OpKind):
         _kind.block = 2
     else:
         _kind.block = 0
-    _kind.flags = (_kind.index, _kind.mem, _kind.write, _kind.sync, _kind.block)
+    _kind.reschedules = _kind in RESCHEDULING_KINDS
+    _kind.flags = (
+        _kind.index, _kind.mem, _kind.write, _kind.sync, _kind.block,
+        _kind.reschedules,
+    )
 del _index, _kind
 
 
@@ -126,12 +152,13 @@ class Op:
     is_write: bool = field(init=False, repr=False, compare=False)
     is_sync: bool = field(init=False, repr=False, compare=False)
     blocking: int = field(init=False, repr=False, compare=False)
+    reschedules: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # One attribute read + a C-level unpack per constructed op.
         (
             self.kind_index, self.is_mem, self.is_write, self.is_sync,
-            self.blocking,
+            self.blocking, self.reschedules,
         ) = self.kind.flags
 
     def describe(self) -> str:

@@ -16,10 +16,18 @@ All of these are *libraries over the instruction set*, not engine features:
 and wait/notify exactly as their ``java.util.concurrent`` counterparts are
 built over monitors, so the happens-before edges the detectors see are the
 real ones.
+
+Locations and unlabelled ops are interned: ``loc(i)`` returns one object
+per index or field, and an unlabelled read, lock or unlock returns one
+prebuilt :class:`Op` per location or lock (the engine never mutates an
+op).  Writes are built per call, since their value varies.  Because a read
+op carries its default, defaults are fixed at construction, or changed only
+through :meth:`SharedObject.set_default`.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Any, Generator, Iterable
 
 from . import ops
@@ -32,11 +40,18 @@ class SharedVar:
 
     def __init__(self, name: str = "", init: Any = None):
         self.name = name
-        self.init = init
+        self._init = init
         self.loc = VarLoc(fresh_uid(), name)
+        self._read = ops.read(self.loc, default=init)
+
+    @property
+    def init(self) -> Any:
+        return self._init
 
     def read(self, label: str | None = None) -> Op:
-        return ops.read(self.loc, default=self.init, label=label)
+        if label is None:
+            return self._read
+        return ops.read(self.loc, default=self._init, label=label)
 
     def write(self, value: Any, label: str | None = None) -> Op:
         return ops.write(self.loc, value, label=label)
@@ -56,14 +71,28 @@ class SharedCells:
 
     def __init__(self, name: str = "", init: Any = None):
         self.name = name
-        self.init = init
+        self._init = init
         self.uid = fresh_uid()
+        self._locs: dict[int, ElemLoc] = {}
+        self._reads: dict[int, Op] = {}
+
+    @property
+    def init(self) -> Any:
+        return self._init
 
     def loc(self, index: int) -> ElemLoc:
-        return ElemLoc(self.uid, self.name, index)
+        loc = self._locs.get(index)
+        if loc is None:
+            loc = self._locs[index] = ElemLoc(self.uid, self.name, index)
+        return loc
 
     def read(self, index: int, label: str | None = None) -> Op:
-        return ops.read(self.loc(index), default=self.init, label=label)
+        if label is not None:
+            return ops.read(self.loc(index), default=self._init, label=label)
+        op = self._reads.get(index)
+        if op is None:
+            op = self._reads[index] = ops.read(self.loc(index), default=self._init)
+        return op
 
     def write(self, index: int, value: Any, label: str | None = None) -> Op:
         return ops.write(self.loc(index), value, label=label)
@@ -98,18 +127,42 @@ class SharedArray(SharedCells):
 
 
 class SharedObject:
-    """A shared record with named fields and per-field default values."""
+    """A shared record with named fields and per-field default values.
+
+    ``defaults`` is a read-only view; change a default with
+    :meth:`set_default`, which also drops the field's interned read op.
+    """
 
     def __init__(self, name: str = "", **defaults: Any):
         self.name = name
         self.uid = fresh_uid()
-        self.defaults = defaults
+        self._defaults = defaults
+        self.defaults = MappingProxyType(defaults)
+        self._locs: dict[str, FieldLoc] = {}
+        self._reads: dict[str, Op] = {}
+
+    def set_default(self, field: str, value: Any) -> None:
+        """Set the value a read of ``field`` returns before any write."""
+        self._defaults[field] = value
+        self._reads.pop(field, None)
 
     def loc(self, field: str) -> FieldLoc:
-        return FieldLoc(self.uid, self.name, field)
+        loc = self._locs.get(field)
+        if loc is None:
+            loc = self._locs[field] = FieldLoc(self.uid, self.name, field)
+        return loc
 
     def get(self, field: str, label: str | None = None) -> Op:
-        return ops.read(self.loc(field), default=self.defaults.get(field), label=label)
+        if label is not None:
+            return ops.read(
+                self.loc(field), default=self._defaults.get(field), label=label
+            )
+        op = self._reads.get(field)
+        if op is None:
+            op = self._reads[field] = ops.read(
+                self.loc(field), default=self._defaults.get(field)
+            )
+        return op
 
     def set(self, field: str, value: Any, label: str | None = None) -> Op:
         return ops.write(self.loc(field), value, label=label)
@@ -124,11 +177,17 @@ class Lock:
     def __init__(self, name: str = ""):
         self.id = LockId(fresh_uid(), name)
         self.name = name
+        self._acquire = ops.lock(self.id)
+        self._release = ops.unlock(self.id)
 
     def acquire(self, label: str | None = None) -> Op:
+        if label is None:
+            return self._acquire
         return ops.lock(self.id, label=label)
 
     def release(self, label: str | None = None) -> Op:
+        if label is None:
+            return self._release
         return ops.unlock(self.id, label=label)
 
     def wait(self, timeout: int | None = None, label: str | None = None) -> Op:

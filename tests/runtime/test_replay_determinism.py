@@ -4,7 +4,9 @@ This is the paper's replay guarantee (Section 2.2): all scheduling
 non-determinism is resolved from a single seeded RNG, so re-running with
 the same seed reproduces the identical event sequence with no recording.
 Hypothesis generates small random concurrent programs (random mixes of
-shared accesses, locks, spawns and sleeps) and checks trace equality.
+shared accesses, locks, spawns and sleeps; with ``_SYNC_SCRIPTS`` also
+timed waits, notify/notifyAll, interrupts and joins) and checks trace
+equality.
 """
 
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from repro.runtime import (
     Barrier,
     EventTrace,
     Execution,
+    InterruptedException,
     Lock,
     Program,
     SharedVar,
@@ -24,20 +27,27 @@ from repro.runtime import (
 )
 
 # One action of a generated thread body: (kind, argument)
-_ACTIONS = st.sampled_from(
-    ["read", "write", "lock-block", "yield", "sleep", "counter"]
-)
-_SCRIPTS = st.lists(_ACTIONS, min_size=1, max_size=6)
+_BASIC = ["read", "write", "lock-block", "yield", "sleep", "counter"]
+_SCRIPTS = st.lists(st.sampled_from(_BASIC), min_size=1, max_size=6)
+
+# The same, plus the ops that wake, park and interrupt other threads.
+_SYNC = _BASIC + ["timed-wait", "notify", "notify-all", "interrupt", "join"]
+_SYNC_SCRIPTS = st.lists(st.sampled_from(_SYNC), min_size=1, max_size=6)
 
 
 def _make_program(scripts):
-    """Build a Program from per-thread action scripts."""
+    """Build a Program from per-thread action scripts.
+
+    Thread ``i`` of ``n`` (tid ``i + 1``; main is tid 0) interrupts its
+    next sibling and joins its previous one, which is already spawned.
+    """
+    count = len(scripts)
 
     def factory():
         x = SharedVar("x", 0)
         lock = Lock("L")
 
-        def run_script(script):
+        def run_script(script, index):
             for action in script:
                 if action == "read":
                     yield x.read()
@@ -54,10 +64,30 @@ def _make_program(scripts):
                 elif action == "counter":
                     value = yield x.read()
                     yield x.write(value + 1)
+                elif action == "timed-wait":
+                    yield lock.acquire()
+                    try:
+                        yield lock.wait(timeout=4)
+                    except InterruptedException:
+                        pass
+                    yield lock.release()
+                elif action == "notify":
+                    yield lock.acquire()
+                    yield lock.notify()
+                    yield lock.release()
+                elif action == "notify-all":
+                    yield lock.acquire()
+                    yield lock.notify_all()
+                    yield lock.release()
+                elif action == "interrupt":
+                    yield ops.interrupt((index + 1) % count + 1)
+                elif action == "join" and index > 0:
+                    yield ops.join(index)
 
         def main():
             handles = yield from spawn_all(
-                [(lambda s: lambda: run_script(s))(s) for s in scripts]
+                [(lambda s, i: lambda: run_script(s, i))(s, i)
+                 for i, s in enumerate(scripts)]
             )
             yield from join_all(handles)
 
@@ -86,6 +116,17 @@ class TestReplayDeterminism:
         first = _signature(program, seed, RandomScheduler)
         second = _signature(program, seed, RandomScheduler)
         assert first == second
+
+    @given(
+        scripts=st.lists(_SYNC_SCRIPTS, min_size=1, max_size=3),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_same_seed_same_trace_with_wakeups(self, scripts, seed):
+        program = _make_program(scripts)
+        for scheduler in (RandomScheduler, DefaultScheduler):
+            first = _signature(program, seed, scheduler)
+            assert _signature(program, seed, scheduler) == first
 
     @given(scripts=st.lists(_SCRIPTS, min_size=2, max_size=3))
     @settings(max_examples=20, deadline=None)

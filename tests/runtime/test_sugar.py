@@ -94,6 +94,73 @@ class TestSharedObject:
         run_single(body)
 
 
+class TestInterning:
+    """Locations and unlabelled read/lock/unlock ops are built once."""
+
+    def test_locations_are_interned(self):
+        cells = SharedCells("c")
+        obj = SharedObject("o", f=0)
+        assert cells.loc(3) is cells.loc(3)
+        assert cells.loc(3) is not cells.loc(4)
+        assert obj.loc("f") is obj.loc("f")
+        assert cells.read(3).location is cells.write(3, 1).location
+        assert obj.get("f").location is obj.set("f", 1).location
+
+    def test_unlabelled_ops_are_interned(self):
+        x = SharedVar("x", 0)
+        arr = SharedArray(2, "a", init=0)
+        obj = SharedObject("o", f=0)
+        lock = Lock("L")
+        assert x.read() is x.read()
+        assert arr.read(1) is arr.read(1)
+        assert arr.read(0) is not arr.read(1)
+        assert obj.get("f") is obj.get("f")
+        assert lock.acquire() is lock.acquire()
+        assert lock.release() is lock.release()
+
+    def test_writes_are_built_per_call(self):
+        x = SharedVar("x", 0)
+        first, second = x.write(1), x.write(2)
+        assert first is not second
+        assert (first.value, second.value) == (1, 2)
+
+    def test_labelled_calls_build_fresh_ops(self):
+        x = SharedVar("x", 0)
+        cells = SharedCells("c")
+        obj = SharedObject("o", f=0)
+        lock = Lock("L")
+        for make in (
+            lambda: x.read(label="r"),
+            lambda: cells.read(0, label="r"),
+            lambda: obj.get("f", label="r"),
+            lambda: lock.acquire(label="r"),
+            lambda: lock.release(label="r"),
+        ):
+            first, second = make(), make()
+            assert first is not second
+            assert first.label == "r"
+        assert x.read(label="r") is not x.read()
+
+    def test_defaults_are_read_only(self):
+        obj = SharedObject("o", f=0)
+        with pytest.raises(TypeError):
+            obj.defaults["f"] = 1
+        with pytest.raises(AttributeError):
+            SharedVar("x", 0).init = 1
+
+    def test_set_default_after_a_get_is_honoured(self):
+        def body():
+            obj = SharedObject("o", f=0)
+            assert (yield obj.get("f")) == 0
+            obj.set_default("f", 5)
+            assert obj.defaults["f"] == 5
+            assert (yield obj.get("f")) == 5
+            yield obj.set("f", 6)
+            assert (yield obj.get("f")) == 6
+
+        run_single(body)
+
+
 class TestSynchronized:
     def test_releases_on_normal_exit(self):
         def body():
