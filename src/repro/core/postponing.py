@@ -51,7 +51,7 @@ import time
 from repro.obs import WALL_BUCKETS, maybe_registry
 from repro.obs.timeline import maybe_timeline
 from repro.runtime.errors import ExecutionLimitExceeded
-from repro.runtime.interpreter import Execution, ExecutionResult
+from repro.runtime.interpreter import Execution, ExecutionResult, randbelow
 from repro.runtime.observer import ExecutionObserver
 from repro.runtime.ops import Op, OpKind
 from repro.runtime.program import Program
@@ -59,11 +59,16 @@ from repro.runtime.statement import StatementPair
 from repro.runtime.thread import ThreadState, ThreadStatus
 
 #: Executed op kinds that can let another thread progress: they advance the
-#: spin evidence's progress epoch.
-_PROGRESS_KINDS = frozenset(
-    {OpKind.WRITE, OpKind.SPAWN, OpKind.NOTIFY, OpKind.NOTIFY_ALL, OpKind.INTERRUPT}
+#: spin evidence's progress epoch (as ``OpKind.index`` values, which hash
+#: as ints rather than through ``Enum.__hash__``).
+_PROGRESS_INDICES = frozenset(
+    kind.index
+    for kind in (
+        OpKind.WRITE, OpKind.SPAWN, OpKind.NOTIFY, OpKind.NOTIFY_ALL,
+        OpKind.INTERRUPT,
+    )
 )
-_READ = OpKind.READ
+_READ_INDEX = OpKind.READ.index
 _YIELD = OpKind.YIELD
 _RUNNABLE = ThreadStatus.RUNNABLE
 _WAITING = ThreadStatus.WAITING
@@ -204,14 +209,23 @@ class PostponingDriver:
         )
         execution.start()
         fuzz = FuzzResult(result=execution.result)
-        postponed: dict[int, int] = {}  # tid -> step at which it was postponed
+        # tid -> step at which it was postponed.  Entries are only ever
+        # added at the current step by a thread not yet in it, so the
+        # values never decrease in insertion order: the first entry is the
+        # oldest (see _run_watchdog).
+        postponed: dict[int, int] = {}
         # Threads released from `postponed` (lines 26-28 or the watchdog)
         # get a one-shot exemption so they "execute the remaining
         # statements" (the paper's Case 1 narrative) instead of being
         # re-postponed at the same statement forever.
         exempt: set[int] = set()
         spin = _SpinEvidence()  # per trial: fuzzers are reused across trials
-        rng = execution.rng
+        getrandbits = execution.rng.getrandbits
+        # The enabled list `postponed` was last pruned against.  Every
+        # thread postponed since came from that list, so while
+        # schedulable() keeps returning it (the same object) every
+        # postponed thread is still enabled and there is nothing to prune.
+        pruned_for = None
 
         try:
             while True:
@@ -220,10 +234,11 @@ class PostponingDriver:
                     break
                 if postponed:
                     self._run_watchdog(execution, postponed, exempt, fuzz)
-                    enabled_set = set(enabled)
-                    for tid in list(postponed):
-                        if tid not in enabled_set:  # died or became blocked
-                            del postponed[tid]
+                    if enabled is not pruned_for:
+                        pruned_for = enabled
+                        for tid in list(postponed):
+                            if tid not in enabled:  # died or became blocked
+                                del postponed[tid]
                     if postponed and spin.stalled(execution, postponed):
                         self._release_oldest(postponed, exempt, fuzz)
                         continue
@@ -232,12 +247,14 @@ class PostponingDriver:
                     choosable = enabled
                 if not choosable:
                     # Lines 26-28: everyone is postponed; release one at random.
-                    victim = sorted(postponed)[rng.randrange(len(postponed))]
+                    victim = sorted(postponed)[
+                        randbelow(getrandbits, len(postponed))
+                    ]
                     del postponed[victim]
                     exempt.add(victim)
                     fuzz.forced_releases += 1
                     continue
-                tid = choosable[rng.randrange(len(choosable))]
+                tid = choosable[randbelow(getrandbits, len(choosable))]
                 if self.is_target(execution, tid) and tid not in exempt:
                     rivals = self.conflicting(execution, tid, sorted(postponed))
                     if rivals:
@@ -354,15 +371,19 @@ class PostponingDriver:
         if self.preemption != "sync":
             return
         max_steps = self.max_steps
+        is_target = self.is_target
+        step = execution.step
         while execution.ops_executed < max_steps:
-            if not execution._enabled(ts):
-                return
+            # No enabledness check: a pending op that is not a sync op
+            # (READ, WRITE, INTERRUPTED, CHECK) never blocks, and only a
+            # RUNNABLE thread has one (WAIT and SLEEP, which park a
+            # thread, stay pending while it is parked, and are sync ops).
             op = ts.pending
             if op is None or op.is_sync:
                 return
-            if self.is_target(execution, tid):
+            if is_target(execution, tid):
                 return
-            execution.step(tid)
+            step(tid)
             if postponed:
                 spin.observe(execution, ts, op)
                 if (execution.step_count & 0x3F) == 0:
@@ -377,13 +398,19 @@ class PostponingDriver:
         exempt: set[int],
         fuzz: FuzzResult,
     ) -> None:
-        """Section 4's livelock backstop: free threads postponed too long."""
-        now = execution.step_count
-        for tid, since in list(postponed.items()):
-            if now - since > self.patience:
-                del postponed[tid]
-                exempt.add(tid)
-                fuzz.watchdog_releases += 1
+        """Section 4's livelock backstop: free threads postponed too long.
+
+        ``postponed`` is ordered by postpone step, so the threads due are
+        a prefix of it and only its first entry needs checking.
+        """
+        deadline = execution.step_count - self.patience
+        while postponed:
+            tid = next(iter(postponed))
+            if postponed[tid] >= deadline:
+                return
+            del postponed[tid]
+            exempt.add(tid)
+            fuzz.watchdog_releases += 1
 
     @staticmethod
     def _release_oldest(
@@ -418,11 +445,11 @@ class _SpinEvidence:
 
     def observe(self, execution: Execution, ts: ThreadState, op: Op) -> None:
         """Account one step of ``ts``, whose pending op was ``op``."""
-        kind = op.kind
+        index = op.kind_index
         tid = ts.tid
-        if kind in _PROGRESS_KINDS:
+        if index in _PROGRESS_INDICES:
             self.epoch += 1
-        elif kind is _READ:
+        elif index == _READ_INDEX:
             self.reads[tid] = self.reads.get(tid, 0) + 1
         pending = ts.pending
         if pending is None or pending.kind is not _YIELD:

@@ -64,6 +64,8 @@ class RaceFuzzer(PostponingDriver):
         if not statements:
             raise ValueError("RaceFuzzer needs a non-empty racing statement set")
         self.race_set = frozenset(statements)
+        #: is_target's answer per raw (id(code), offset) yield site.
+        self._site_hits: dict[tuple[int, int], bool] = {}
 
     def timeline_target(self) -> str:
         """Timeline identity of this fuzzer's trials: the pair label
@@ -86,10 +88,10 @@ class RaceFuzzer(PostponingDriver):
         """Line 6 of Algorithm 1: is the thread's next statement in the
         racing pair (and a memory access)?
 
-        Probed on every step of the sync-preemption burst loop, so it does
-        a single thread-state fetch and reuses the cached pending
-        statement instead of going through ``next_op``/``next_stmt``
-        (which would fetch the state twice more).
+        Probed on every step of the sync-preemption burst loop, so it
+        reads the thread state directly and remembers its answer per raw
+        ``(code, offset)`` yield site: a site seen before costs one dict
+        probe and no Statement lookup.
         """
         ts = execution.threads.get(tid)
         if ts is None:
@@ -97,10 +99,16 @@ class RaceFuzzer(PostponingDriver):
         op = ts.pending
         if op is None or not op.is_mem:
             return False
-        stmt = ts.pending_stmt
-        if stmt is None:
-            stmt = execution._stmt(ts)
-        return stmt in self.race_set
+        code = ts.stmt_code
+        if code is None:  # labelled op: its Statement is already interned
+            return ts.pending_stmt in self.race_set
+        # id(code) is safe as a key: interning the Statement below keeps
+        # the code object alive, so its id is never reused.
+        key = (id(code), ts.stmt_offset)
+        hit = self._site_hits.get(key)
+        if hit is None:
+            hit = self._site_hits[key] = execution._stmt(ts) in self.race_set
+        return hit
 
     # --- Algorithm 2 ------------------------------------------------------ #
 

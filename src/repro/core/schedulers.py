@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.runtime.interpreter import Execution
+from repro.runtime.interpreter import Execution, randbelow
 
 
 class Scheduler:
@@ -49,7 +49,9 @@ class RandomScheduler(Scheduler):
         if self._sync and last is not None and last in enabled:
             if not execution.threads[last].pending.is_sync:
                 return last
-        self._last = last = enabled[execution.rng.randrange(len(enabled))]
+        self._last = last = enabled[
+            randbelow(execution.rng.getrandbits, len(enabled))
+        ]
         return last
 
 
@@ -85,7 +87,10 @@ class DefaultScheduler(Scheduler):
 
     def _new_slice(self, execution: Execution) -> None:
         low = max(1, self.quantum // 2)
-        self._slice_limit = execution.rng.randint(low, self.quantum)
+        # randint(low, quantum), from the same draws
+        self._slice_limit = low + randbelow(
+            execution.rng.getrandbits, self.quantum - low + 1
+        )
         self._slice_used = 1
 
     def choose(self, execution: Execution, enabled: list[int]) -> int:

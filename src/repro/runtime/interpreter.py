@@ -26,13 +26,17 @@ Hot-path design (see INTERNALS "Interpreter fast path")
 Every campaign bottoms out in :meth:`Execution.step`, so the per-step work
 is kept to integer/identity operations:
 
+* **Inline hot ops** — READ, WRITE and YIELD, most of every campaign's
+  steps, run inline in ``step``, generator resume included.
 * **Precompiled dispatch** — each :class:`~repro.runtime.ops.Op` carries a
   dense ``kind_index`` resolved at construction; ``step`` indexes a tuple
-  of bound handlers instead of hashing an enum into a dict.
+  of bound handlers for the other kinds instead of hashing an enum into a
+  dict.
 * **Lazy interned statements** — the yield site is captured as a raw
-  ``(code, line)`` pair at resume time (two attribute reads); the interned
-  :class:`~repro.runtime.statement.Statement` is materialized only when an
-  event, a race-set probe, or a crash report actually needs it.
+  ``(code, offset)`` pair at resume time (``f_code`` and ``f_lasti``, in
+  ``_pend`` only); the line and the interned
+  :class:`~repro.runtime.statement.Statement` are resolved only when an
+  event, a race-set probe, or a crash report actually needs them.
 * **Observer tiers** — ``_observing`` (any observer) and ``_observe_mem``
   (an observer that wants MemEvents) are resolved once per execution; with
   no observer attached, a step allocates no event objects at all, and the
@@ -97,7 +101,7 @@ from .statement import (
     FINISHED_STATEMENT,
     Statement,
     label_statement,
-    statement_at,
+    site_statement,
 )
 from .thread import ThreadState, ThreadStatus
 
@@ -111,8 +115,31 @@ _TERMINATED = ThreadStatus.TERMINATED
 #: index of the synthetic "wake" tally slot (after the real op kinds).
 _WAKE_SLOT = len(KIND_VALUES)
 
+#: the op kinds ``step`` executes inline, without a handler call.
+_READ_INDEX = OpKind.READ.index
+_WRITE_INDEX = OpKind.WRITE.index
+_YIELD_INDEX = OpKind.YIELD.index
+_INLINE_INDICES = (_READ_INDEX, _WRITE_INDEX, _YIELD_INDEX)
+
 #: ``_valid_until`` when no disabled thread waits on a deadline.
 _NO_DEADLINE = sys.maxsize
+
+
+def randbelow(getrandbits, n: int) -> int:
+    """``Random.randrange(n)`` for ``n >= 1``, from the same draws.
+
+    ``randrange`` checks its arguments and goes through ``_randbelow``,
+    two Python frames per call; drivers pick a thread at every scheduling
+    point, so they run the same rejection loop on ``rng.getrandbits``
+    directly and leave the generator in the same state.
+    """
+    if n <= 0:  # getrandbits(0) is 0: the loop below would never end
+        raise ValueError(f"empty range for randbelow: {n}")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,7 +247,7 @@ class Execution:
         )
         # Dispatch: one bound handler per OpKind, indexed by Op.kind_index.
         self._dispatch = tuple(
-            getattr(self, name) for name in _HANDLER_NAMES
+            name and getattr(self, name) for name in _HANDLER_NAMES
         )
         # Direct alias of the heap's cell dict: READ/WRITE are the two
         # hottest ops and go straight to dict.get / dict.__setitem__.
@@ -404,6 +431,10 @@ class Execution:
         a wake step, an op kind that ``reschedules`` (SPAWN, which creates
         threads, among them), a thread that terminates, or a next op of
         ``tid`` that is blocked.
+
+        READ, WRITE and YIELD, most of every campaign's steps, run inline
+        here, generator resume included; every other kind goes through
+        its handler in ``_dispatch``.
         """
         ts = self.threads.get(tid)
         if ts is None:
@@ -426,10 +457,33 @@ class Execution:
             if self._m_last_tid >= 0:
                 self._m_switches += 1
             self._m_last_tid = tid
-        if status is _RUNNABLE:
-            index = op.kind_index
+        if status is not _RUNNABLE:
+            self._enabled_list = None
+            # Wakeups execute no user op; they are tallied under the
+            # synthetic "wake" kind here, where the wake actually happens
+            # (a pending SLEEP/WAIT op must not be double-counted).
             if counts is not None:
-                counts[index] += 1
+                counts[_WAKE_SLOT] += 1
+            if status is _SLEEPING:
+                self._wake_from_sleep(ts)
+            else:  # _WAITING (timed wait at its deadline)
+                self._wake_from_timed_wait(ts)
+            return
+        index = op.kind_index
+        if counts is not None:
+            counts[index] += 1
+        if index == _READ_INDEX:
+            value = self._cells.get(op.location, op.default)
+            if self._observe_mem:
+                self._emit_mem(ts, op, Access.READ)
+        elif index == _WRITE_INDEX:
+            self._cells[op.location] = op.value
+            value = None
+            if self._observe_mem:
+                self._emit_mem(ts, op, Access.WRITE)
+        elif index == _YIELD_INDEX:
+            value = None
+        else:
             if op.reschedules:
                 self._enabled_list = None
             self._dispatch[index](ts, op)
@@ -440,32 +494,26 @@ class Execution:
                 if op.blocking and not self._enabled(ts):
                     self._enabled_list = None
             return
-        self._enabled_list = None
-        if status is _SLEEPING:
-            # Wakeups execute no user op; they are tallied under the
-            # synthetic "wake" kind here, where the wake actually happens
-            # (a pending SLEEP/WAIT op must not be double-counted).
-            if counts is not None:
-                counts[_WAKE_SLOT] += 1
-            self._wake_from_sleep(ts)
-        else:  # _WAITING (timed wait at its deadline)
-            if counts is not None:
-                counts[_WAKE_SLOT] += 1
-            self._wake_from_timed_wait(ts)
+        gen = ts.gen
+        try:
+            op = gen.send(value)
+        except StopIteration:
+            self._terminate(ts, None)
+            return
+        except EngineError:
+            raise
+        except BaseException as error:  # the thread's crash domain
+            self._terminate(ts, error)
+            return
+        self._pend(ts, gen, op)
+        if (
+            op.blocking
+            and self._enabled_list is not None
+            and not self._enabled(ts)
+        ):
+            self._enabled_list = None
 
     # --- op handlers ---------------------------------------------------- #
-
-    def _do_read(self, ts: ThreadState, op: Op) -> None:
-        value = self._cells.get(op.location, op.default)
-        if self._observe_mem:
-            self._emit_mem(ts, op, Access.READ)
-        self._advance(ts, value=value)
-
-    def _do_write(self, ts: ThreadState, op: Op) -> None:
-        self._cells[op.location] = op.value
-        if self._observe_mem:
-            self._emit_mem(ts, op, Access.WRITE)
-        self._advance(ts, value=None)
 
     def _do_lock(self, ts: ThreadState, op: Op) -> None:
         outermost = self.locks.acquire(op.lock, ts.tid)
@@ -476,7 +524,7 @@ class Execution:
                     stmt=self._stmt(ts),
                 )
             )
-        self._advance(ts, value=None)
+        self._resume(ts, None)
 
     def _do_unlock(self, ts: ThreadState, op: Op) -> None:
         fully = self.locks.release(op.lock, ts.tid)
@@ -487,13 +535,13 @@ class Execution:
                     stmt=self._stmt(ts),
                 )
             )
-        self._advance(ts, value=None)
+        self._resume(ts, None)
 
     def _do_wait(self, ts: ThreadState, op: Op) -> None:
         # Java: wait with the interrupt flag already set throws immediately.
         if ts.interrupt_flag:
             ts.interrupt_flag = False
-            self._advance(ts, exc=InterruptedException(f"{ts.name} interrupted"))
+            self._resume(ts, None, InterruptedException(f"{ts.name} interrupted"))
             return
         ts.wake_at = self.step_count + op.duration if op.duration else 0
         depth = self.locks.release_all(op.lock, ts.tid)
@@ -518,7 +566,7 @@ class Execution:
             woken = self.locks.unpark_one(op.lock, index)
             msg = self._snd(ts.tid)
             self._transition_to_reacquire(self.threads[woken], msg)
-        self._advance(ts, value=None)
+        self._resume(ts, None)
 
     def _do_notify_all(self, ts: ThreadState, op: Op) -> None:
         self._require_held(ts, op)
@@ -527,7 +575,7 @@ class Execution:
             msg = self._snd(ts.tid)
             for tid in woken:
                 self._transition_to_reacquire(self.threads[tid], msg)
-        self._advance(ts, value=None)
+        self._resume(ts, None)
 
     def _do_spawn(self, ts: ThreadState, op: Op) -> None:
         gen = op.func(*op.args)
@@ -539,19 +587,19 @@ class Execution:
         child = self._create_thread(
             gen, name=op.name or getattr(op.func, "__name__", "thread"), parent=ts.tid
         )
-        self._advance(ts, value=child.handle)
+        self._resume(ts, child.handle)
 
     def _do_join(self, ts: ThreadState, op: Op) -> None:
         target = resolve_tid(op.target)
         msg = self._term_msg.get(target)
         if msg is not None and self._observing:
             self.observer.on_event(RcvEvent(step=self.step_count, tid=ts.tid, msg_id=msg))
-        self._advance(ts, value=None)
+        self._resume(ts, None)
 
     def _do_sleep(self, ts: ThreadState, op: Op) -> None:
         if ts.interrupt_flag:
             ts.interrupt_flag = False
-            self._advance(ts, exc=InterruptedException(f"{ts.name} interrupted"))
+            self._resume(ts, None, InterruptedException(f"{ts.name} interrupted"))
             return
         ts.status = _SLEEPING
         ts.wake_at = self.step_count + max(1, op.duration)
@@ -579,14 +627,14 @@ class Execution:
                     RcvEvent(step=self.step_count, tid=ts.tid, msg_id=msg)
                 )
             ts.waiting_on = None
-            self._advance(ts, exc=InterruptedException(f"{ts.name} interrupted"))
+            self._resume(ts, None, InterruptedException(f"{ts.name} interrupted"))
         else:
-            self._advance(ts, value=None)
+            self._resume(ts, None)
 
     def _do_interrupt(self, ts: ThreadState, op: Op) -> None:
         target = self.threads.get(resolve_tid(op.target))
         if target is None or not target.alive:
-            self._advance(ts, value=None)
+            self._resume(ts, None)
             return
         if target.status is _WAITING:
             self.locks.remove_waiter(target.waiting_on, target.tid)
@@ -604,21 +652,18 @@ class Execution:
             target.deliver_interrupt = True
         else:
             target.interrupt_flag = True
-        self._advance(ts, value=None)
+        self._resume(ts, None)
 
     def _do_interrupted(self, ts: ThreadState, op: Op) -> None:
         flag = ts.interrupt_flag
         ts.interrupt_flag = False
-        self._advance(ts, value=flag)
-
-    def _do_yield(self, ts: ThreadState, op: Op) -> None:
-        self._advance(ts, value=None)
+        self._resume(ts, flag)
 
     def _do_check(self, ts: ThreadState, op: Op) -> None:
         if op.condition:
-            self._advance(ts, value=None)
+            self._resume(ts, None)
         else:
-            self._advance(ts, exc=AssertionViolation(op.message or "check failed"))
+            self._resume(ts, None, AssertionViolation(op.message or "check failed"))
 
     def _do_reacquire(self, ts: ThreadState, op: Op) -> None:
         self.locks.acquire(op.lock, ts.tid, depth=op.reacquire_count)
@@ -637,9 +682,9 @@ class Execution:
         if ts.deliver_interrupt:
             ts.deliver_interrupt = False
             ts.interrupt_flag = False
-            self._advance(ts, exc=InterruptedException(f"{ts.name} interrupted"))
+            self._resume(ts, None, InterruptedException(f"{ts.name} interrupted"))
         else:
-            self._advance(ts, value=None)
+            self._resume(ts, None)
 
     # ------------------------------------------------------------------ #
     # internals
@@ -648,7 +693,7 @@ class Execution:
         """Materialize (and memoize) the statement of ``ts``'s pending op."""
         stmt = ts.pending_stmt
         if stmt is None and ts.stmt_code is not None:
-            stmt = statement_at(ts.stmt_code, ts.stmt_line)
+            stmt = site_statement(ts.stmt_code, ts.stmt_offset)
             ts.pending_stmt = stmt
         return stmt
 
@@ -714,60 +759,64 @@ class Execution:
                 self.observer.on_event(
                     RcvEvent(step=self.step_count, tid=tid, msg_id=msg)
                 )
-        self._advance(ts, value=None, priming=True)
+        self._resume(ts, None)
         return ts
 
-    def _advance(
-        self,
-        ts: ThreadState,
-        value: Any = None,
-        exc: BaseException | None = None,
-        priming: bool = False,
+    def _resume(
+        self, ts: ThreadState, value: Any, thrown: BaseException | None = None
     ) -> None:
-        """Resume the generator until its next yield (or its end)."""
+        """Resume the generator until its next yield (or its end), sending
+        ``value`` or throwing ``thrown``; the slow-path twin of the inline
+        resume in :meth:`step`."""
+        gen = ts.gen
         try:
-            if exc is not None:
-                op = ts.gen.throw(exc)
-            elif priming:
-                op = next(ts.gen)
+            if thrown is None:
+                op = gen.send(value)
             else:
-                op = ts.gen.send(value)
+                op = gen.throw(thrown)
         except StopIteration:
             self._terminate(ts, None)
+            return
         except EngineError:
             raise
         except BaseException as error:  # the thread's crash domain
             self._terminate(ts, error)
+            return
+        self._pend(ts, gen, op)
+
+    def _pend(self, ts: ThreadState, gen: GeneratorType, op: Any) -> None:
+        """Make ``op``, just yielded by ``gen``, the pending op of ``ts`` and
+        capture its yield site — the one place a site is captured.
+
+        The raw site is read eagerly (the frame is only readable while the
+        generator is suspended, and a later crash must attribute to this
+        op) as ``(f_code, f_lasti)``, two attribute reads; the line and the
+        interned Statement are resolved only on demand (:meth:`_stmt`).
+        The yield-from chain is followed so composed helpers attribute to
+        the line that actually performed the access.
+        """
+        if op.__class__ is not Op and not isinstance(op, Op):
+            raise EngineError(
+                f"{ts} yielded {op!r}; thread bodies must yield Op values"
+            )
+        ts.pending = op
+        if op.label is not None:
+            ts.pending_stmt = label_statement(op.label)
+            ts.stmt_code = None
+            return
+        while True:
+            nested = gen.gi_yieldfrom
+            if nested is None or nested.__class__ is not GeneratorType:
+                break
+            gen = nested
+        frame = gen.gi_frame
+        if frame is None:
+            ts.pending_stmt = FINISHED_STATEMENT
+            ts.stmt_code = None
         else:
-            if op.__class__ is not Op and not isinstance(op, Op):
-                raise EngineError(
-                    f"{ts} yielded {op!r}; thread bodies must yield Op values"
-                )
-            ts.pending = op
-            if op.label is not None:
-                ts.pending_stmt = label_statement(op.label)
-                ts.stmt_code = None
-            else:
-                # Capture the raw site eagerly (the frame is only readable
-                # while the generator is suspended, and a later crash must
-                # attribute to this op); intern the Statement lazily.  This
-                # is innermost_frame() inlined: follow the yield-from chain
-                # so composed helpers attribute to the line that actually
-                # performed the access.
-                gen = ts.gen
-                while True:
-                    nested = gen.gi_yieldfrom
-                    if nested is None or nested.__class__ is not GeneratorType:
-                        break
-                    gen = nested
-                frame = gen.gi_frame
-                if frame is None:
-                    ts.pending_stmt = FINISHED_STATEMENT
-                    ts.stmt_code = None
-                else:
-                    ts.pending_stmt = None
-                    ts.stmt_code = frame.f_code
-                    ts.stmt_line = frame.f_lineno
+            ts.pending_stmt = None
+            ts.stmt_code = frame.f_code
+            ts.stmt_offset = frame.f_lasti
 
     def _terminate(self, ts: ThreadState, error: BaseException | None) -> None:
         ts.status = _TERMINATED
@@ -805,8 +854,8 @@ class Execution:
 #: handler method names in OpKind declaration order; ``Execution.__init__``
 #: binds these once so ``step`` dispatches via ``tuple[kind_index]``.
 _HANDLER_NAMES = (
-    "_do_read",
-    "_do_write",
+    None,  # READ: inline in step()
+    None,  # WRITE: inline in step()
     "_do_lock",
     "_do_unlock",
     "_do_wait",
@@ -817,11 +866,12 @@ _HANDLER_NAMES = (
     "_do_sleep",
     "_do_interrupt",
     "_do_interrupted",
-    "_do_yield",
+    None,  # YIELD: inline in step()
     "_do_check",
     "_do_reacquire",
 )
 
-assert tuple(f"_do_{kind.value}" for kind in OpKind) == _HANDLER_NAMES, (
-    "handler table out of sync with OpKind declaration order"
-)
+assert tuple(
+    None if kind.index in _INLINE_INDICES else f"_do_{kind.value}"
+    for kind in OpKind
+) == _HANDLER_NAMES, "handler table out of sync with OpKind declaration order"

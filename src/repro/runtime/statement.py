@@ -21,11 +21,12 @@ Hot-path notes
 --------------
 Statements are the single most-allocated value object in an execution (one
 per step in the naive design), so the engine goes through the interning
-helpers below instead of the constructor: :func:`statement_at` caches one
-``Statement`` per ``(code object, line)`` site and :func:`label_statement`
-one per label string.  Interned instances also cache their hash, so the
-race-set membership test RaceFuzzer performs at every sync point costs one
-dict probe with a precomputed hash.
+helpers below instead of the constructor: :func:`site_statement` caches one
+``Statement`` per raw ``(code object, bytecode offset)`` yield site,
+:func:`statement_at` one per ``(code object, line)`` and
+:func:`label_statement` one per label string.  Interned instances also
+cache their hash, so the race-set membership test RaceFuzzer performs at
+every sync point costs one dict probe with a precomputed hash.
 """
 
 from __future__ import annotations
@@ -157,6 +158,7 @@ def _sort_key(stmt: Statement) -> tuple[str, str, int]:
 # --------------------------------------------------------------------- #
 
 _SITE_CACHE: dict[tuple, Statement] = {}
+_OFFSET_CACHE: dict[tuple[int, int], Statement] = {}
 _LABEL_CACHE: dict[str, Statement] = {}
 
 #: sentinel site for an op attributed to an already-finished generator
@@ -165,19 +167,35 @@ FINISHED_STATEMENT = Statement(file="<finished>", line=0)
 
 
 def statement_at(code, line: int) -> Statement:
-    """The interned :class:`Statement` for a ``(code object, line)`` site.
-
-    This replaces per-step ``Statement`` construction: the engine captures
-    the raw ``(f_code, f_lineno)`` pair at yield time (two attribute reads)
-    and materializes the statement here only when something actually needs
-    it — an event, a race-set probe, a crash report.
-    """
+    """The interned :class:`Statement` for a ``(code object, line)`` site."""
     key = (code, line)
     stmt = _SITE_CACHE.get(key)
     if stmt is None:
         func = getattr(code, "co_qualname", code.co_name)
         stmt = Statement(file=code.co_filename, line=line, func=func)
         _SITE_CACHE[key] = stmt
+    return stmt
+
+
+def site_statement(code, offset: int) -> Statement:
+    """The interned :class:`Statement` for a raw ``(code, offset)`` yield site.
+
+    The engine records ``frame.f_lasti`` at yield time (reading
+    ``f_lineno`` would walk the line table on every step); the line is
+    resolved here, once per site, from the same table ``f_lineno`` reads.
+    Keys use ``id(code)``, which hashes far cheaper than a code object;
+    ``_SITE_CACHE`` keeps every code object seen here alive, so no id is
+    ever reused for another code object.
+    """
+    key = (id(code), offset)
+    stmt = _OFFSET_CACHE.get(key)
+    if stmt is None:
+        line = code.co_firstlineno if offset < 0 else None
+        for start, end, line_no in code.co_lines():
+            if start <= offset < end:
+                line = line_no
+                break
+        stmt = _OFFSET_CACHE[key] = statement_at(code, line)
     return stmt
 
 
@@ -188,27 +206,3 @@ def label_statement(label: str) -> Statement:
         stmt = Statement(label=label)
         _LABEL_CACHE[label] = stmt
     return stmt
-
-
-def innermost_frame(gen):
-    """The suspended frame a generator's next yield came from (or None).
-
-    Follows the ``gi_yieldfrom`` chain to the innermost suspended generator
-    so that ``yield from``-composed helpers (the mini-JDK, Barrier, ...)
-    report the line that actually performed the access, mirroring how
-    bytecode instrumentation attributes events to library code.
-    """
-    while True:
-        nested = getattr(gen, "gi_yieldfrom", None)
-        if nested is None or not hasattr(nested, "gi_frame"):
-            break
-        gen = nested
-    return gen.gi_frame
-
-
-def statement_from_generator(gen) -> Statement:
-    """Derive the (interned) statement for the op a generator just yielded."""
-    frame = innermost_frame(gen)
-    if frame is None:  # generator already finished; should not happen mid-yield
-        return FINISHED_STATEMENT
-    return statement_at(frame.f_code, frame.f_lineno)

@@ -49,15 +49,17 @@ class ThreadState:
     status: ThreadStatus = ThreadStatus.RUNNABLE
     pending: Op | None = None
     #: statement identity of the pending op.  Materialized lazily: the
-    #: engine records the raw yield site in ``stmt_code``/``stmt_line`` at
-    #: resume time (frame state is only readable while the generator is
+    #: engine records the raw yield site in ``stmt_code``/``stmt_offset``
+    #: at resume time (frame state is only readable while the generator is
     #: suspended) and builds the interned Statement on first demand.
     pending_stmt: Statement | None = None
-    #: raw site of the pending op (``frame.f_code`` / ``f_lineno``); None
-    #: when ``pending_stmt`` is already materialized (labelled ops) or the
-    #: thread has no pending op.
+    #: raw site of the pending op: ``frame.f_code`` and the bytecode offset
+    #: ``frame.f_lasti`` of its yield, resolved to a line only when the
+    #: Statement is interned; ``stmt_code`` is None when ``pending_stmt``
+    #: is already materialized (labelled ops) or the thread has no
+    #: pending op.
     stmt_code: Any = None
-    stmt_line: int = 0
+    stmt_offset: int = 0
     #: set while parked: the lock whose wait set holds us, and the monitor
     #: recursion depth to restore on re-acquisition.
     waiting_on: Any = None
